@@ -20,9 +20,10 @@
 //!   intermediates (HGJoin*), the paper's own revision.
 //!
 //! Substitutions with respect to the original systems (region-encoded input
-//! streams, selectivity-based plan generation) are listed in DESIGN.md; the
-//! join strategies and intermediate-result representations — the factors the
-//! paper's experiments isolate — are reproduced by real code doing the
+//! streams, selectivity-based plan generation) are listed under
+//! "Substitutions" in `docs/ARCHITECTURE.md`; the join strategies and
+//! intermediate-result representations — the factors the paper's
+//! experiments isolate — are reproduced by real code doing the
 //! corresponding work.
 
 pub mod decompose;
@@ -32,8 +33,12 @@ pub mod twig2stack;
 pub mod twig_stack;
 pub mod twigstack_d;
 
+use std::collections::HashMap;
+
 use gtpq_graph::{DataGraph, NodeId};
-use gtpq_query::{Gtpq, ResultSet};
+use gtpq_logic::transform::rename_vars;
+use gtpq_logic::{implies, BoolExpr};
+use gtpq_query::{Gtpq, GtpqBuilder, QueryNodeId, ResultSet};
 
 pub use decompose::evaluate_gtpq_with;
 pub use hgjoin::HgJoin;
@@ -62,6 +67,10 @@ pub trait TpqAlgorithm {
     /// Evaluates a conjunctive query, optionally restricting the candidates of
     /// some query nodes.
     ///
+    /// Every query node is matched, predicate children included, so each
+    /// predicate child must be required by its parent's structural
+    /// predicate; [`evaluate`](Self::evaluate) strips the ones that are not.
+    ///
     /// # Panics
     /// Panics if `q` is not conjunctive (use [`evaluate_gtpq_with`] for
     /// general GTPQs).
@@ -71,13 +80,71 @@ pub trait TpqAlgorithm {
         restrict: Option<&Restrictions>,
     ) -> (ResultSet, BaselineStats);
 
-    /// Evaluates a conjunctive query without restrictions.
+    /// Evaluates a conjunctive query without restrictions, after stripping
+    /// the predicate subtrees it does not require: those whose variable the
+    /// parent's structural predicate does not imply.
     fn evaluate(&self, q: &Gtpq) -> (ResultSet, BaselineStats) {
-        self.evaluate_restricted(q, None)
+        let Some(required) = required_pattern(q) else {
+            return self.evaluate_restricted(q, None);
+        };
+        let (mut results, stats) = self.evaluate_restricted(&required, None);
+        // Same output columns in the same order, under `q`'s node ids.
+        results.output = q.output_nodes().to_vec();
+        (results, stats)
     }
 
     /// The data graph the algorithm was built for.
     fn graph(&self) -> &DataGraph;
+}
+
+/// `q` without the predicate subtrees whose variable the parent's structural
+/// predicate does not imply, or `None` when there are none to strip (always
+/// so for all-backbone queries) or `q` is not conjunctive.
+///
+/// A predicate child under `fs = true` constrains nothing, yet an algorithm
+/// that matches every query node would demand a match for it.  In a
+/// satisfiable conjunctive `fs` an unimplied variable does not occur at all,
+/// so dropping its subtree leaves the answer unchanged.
+pub(crate) fn required_pattern(q: &Gtpq) -> Option<Gtpq> {
+    if q.node_ids().all(|u| q.is_backbone(u)) || !q.is_conjunctive() {
+        return None;
+    }
+    let mut b = GtpqBuilder::new(q.node(q.root()).attr.clone());
+    let mut kept: Vec<Option<QueryNodeId>> = vec![None; q.size()];
+    kept[q.root().index()] = Some(b.root_id());
+    // Node ids are assigned parent first, so one pass in id order sees every
+    // parent's fate before its children.
+    for u in q.node_ids().skip(1) {
+        let parent = q.parent(u).expect("non-root");
+        let Some(new_parent) = kept[parent.index()] else {
+            continue;
+        };
+        let edge = q.incoming_edge(u).expect("non-root");
+        let attr = q.node(u).attr.clone();
+        kept[u.index()] = if q.is_backbone(u) {
+            Some(b.backbone_child(new_parent, edge, attr))
+        } else if implies(q.fs(parent), &BoolExpr::Var(u.var())) {
+            Some(b.predicate_child(new_parent, edge, attr))
+        } else {
+            None
+        };
+    }
+    if kept.iter().all(Option::is_some) {
+        return None;
+    }
+    let rename: HashMap<_, _> = q
+        .node_ids()
+        .filter_map(|u| kept[u.index()].map(|new| (u.var(), new.var())))
+        .collect();
+    for u in q.node_ids() {
+        if let Some(new) = kept[u.index()] {
+            b.set_structural(new, rename_vars(q.fs(u), &rename));
+        }
+    }
+    for &o in q.output_nodes() {
+        b.mark_output(kept[o.index()].expect("output nodes are backbone nodes"));
+    }
+    Some(b.build().expect("a valid query has a valid sub-pattern"))
 }
 
 /// Computes the initial candidates of every query node through the attribute
@@ -103,4 +170,38 @@ pub(crate) fn restricted_candidates(
         mat.push(candidates);
     }
     mat
+}
+
+#[cfg(test)]
+mod tests {
+    use gtpq_datagen::{fig11_gtpq, xmark_q1, Fig11Predicate};
+    use gtpq_query::{AttrPredicate, EdgeKind};
+
+    use super::*;
+
+    #[test]
+    fn required_pattern_strips_only_unconstrained_predicate_subtrees() {
+        // All-backbone queries take the direct path untouched.
+        assert!(required_pattern(&xmark_q1(0)).is_none());
+        // Non-conjunctive queries are left for the algorithms to reject.
+        assert!(required_pattern(&fig11_gtpq(Fig11Predicate::Neg1, 0, 3)).is_none());
+        // `fs = true` requires neither education nor mailbox/mail.
+        let q = fig11_gtpq(Fig11Predicate::Conjunctive, 0, 3);
+        let required = required_pattern(&q).expect("three predicate nodes to strip");
+        assert_eq!(required.size(), q.size() - 3);
+        assert!(required.node_ids().all(|u| required.is_backbone(u)));
+        assert_eq!(required.output_nodes().len(), q.output_nodes().len());
+        // A predicate child the parent's `fs` implies survives, renamed.
+        let mut b = GtpqBuilder::new(AttrPredicate::label("a"));
+        let root = b.root_id();
+        let _loose = b.predicate_child(root, EdgeKind::Child, AttrPredicate::label("b"));
+        let kept = b.predicate_child(root, EdgeKind::Child, AttrPredicate::label("c"));
+        b.set_structural(root, BoolExpr::Var(kept.var()));
+        b.mark_output(root);
+        let q = b.build().unwrap();
+        let required = required_pattern(&q).expect("`b` is not required");
+        assert_eq!(required.size(), 2);
+        let child = required.children(required.root())[0];
+        assert_eq!(required.fs(required.root()), &BoolExpr::Var(child.var()));
+    }
 }

@@ -157,7 +157,7 @@ impl TpqAlgorithm for TwigStack<'_> {
 
 #[cfg(test)]
 mod tests {
-    use gtpq_core::GteaEngine;
+    use gtpq_core::{ExecOptions, GteaEngine};
     use gtpq_datagen::{generate_xmark, xmark_q1, XmarkConfig};
     use gtpq_query::fixtures::{example_graph, example_query};
     use gtpq_query::naive;
@@ -184,7 +184,10 @@ mod tests {
         let twig = TwigStack::new(&g);
         let q = xmark_q1(0);
         let (_, twig_stats) = twig.evaluate(&q);
-        let (_, gtea_stats) = engine.evaluate_with_stats(&q);
+        let gtea_stats = engine
+            .execute(&q, &engine.plan(&q), ExecOptions::unbounded())
+            .unwrap()
+            .stats;
         assert!(
             twig_stats.intermediate_results >= gtea_stats.intermediate_size,
             "path solutions should dominate the matching graph ({} vs {})",

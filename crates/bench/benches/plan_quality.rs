@@ -6,7 +6,7 @@
 //!   query pays on a plan-cache miss),
 //! * `fixed` — executing the seed's hard-wired pipeline
 //!   (`QueryPlan::fixed_pipeline`: id-ordered pruning, no planning),
-//! * `planned` — `evaluate_with_stats`, i.e. plan *and* execute.
+//! * `planned` — `GteaEngine::evaluate`, i.e. plan *and* execute.
 //!
 //! The acceptance bar (recorded in
 //! `crates/bench/baselines/BENCH_plan_quality.json`) is that `planned` stays
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtpq_bench::workloads::{arxiv_graph_small, xmark_graph};
-use gtpq_core::{GteaEngine, QueryPlan};
+use gtpq_core::{ExecOptions, GteaEngine, QueryPlan};
 use gtpq_datagen::{random_queries, xmark_q1, xmark_q2, xmark_q3, RandomQueryConfig};
 use gtpq_graph::{AttrValue, DataGraph};
 use gtpq_query::{AttrPredicate, CmpOp, EdgeKind, Gtpq, GtpqBuilder};
@@ -64,18 +64,24 @@ fn xmark_workload(g: &DataGraph) -> Vec<Gtpq> {
     queries
 }
 
+/// Executes `q` through the pre-built plan `plan`.
+fn execute(engine: &GteaEngine<'_>, q: &Gtpq, plan: &QueryPlan) -> gtpq_query::ResultSet {
+    engine
+        .execute(q, plan, ExecOptions::unbounded())
+        .expect("unbounded execution cannot be interrupted")
+        .results
+}
+
 /// Executes every query through its pre-built fixed-pipeline plan.
 fn run_fixed(engine: &GteaEngine<'_>, work: &[(Gtpq, QueryPlan)]) -> usize {
     work.iter()
-        .map(|(q, fixed)| engine.evaluate_planned(q, fixed).0.len())
+        .map(|(q, fixed)| execute(engine, q, fixed).len())
         .sum()
 }
 
 /// Plans and executes every query (planner overhead included).
 fn run_planned(engine: &GteaEngine<'_>, work: &[(Gtpq, QueryPlan)]) -> usize {
-    work.iter()
-        .map(|(q, _)| engine.evaluate_with_stats(q).0.len())
-        .sum()
+    work.iter().map(|(q, _)| engine.evaluate(q).len()).sum()
 }
 
 fn bench(c: &mut Criterion) {
@@ -108,7 +114,7 @@ fn bench(c: &mut Criterion) {
         // Both pipelines must return identical answers before timing them.
         for (q, fixed) in &work {
             let planned = engine.evaluate(q);
-            let fixed_run = engine.evaluate_planned(q, fixed).0;
+            let fixed_run = execute(&engine, q, fixed);
             assert!(
                 planned.same_answer(&fixed_run),
                 "planned/fixed answer mismatch on {name}"

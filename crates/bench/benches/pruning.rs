@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtpq_baselines::{BaselineStats, TwigStackD};
 use gtpq_bench::workloads::arxiv_graph_small;
-use gtpq_core::GteaEngine;
+use gtpq_core::{ExecOptions, GteaEngine};
 use gtpq_datagen::{random_queries, RandomQueryConfig};
 
 fn bench(c: &mut Criterion) {
@@ -25,7 +25,13 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("GTEA-pruning", size), &queries, |b, qs| {
             b.iter(|| {
                 qs.iter()
-                    .map(|q| engine.evaluate_with_stats(q).1.filtering_time())
+                    .map(|q| {
+                        engine
+                            .execute(q, &engine.plan(q), ExecOptions::unbounded())
+                            .expect("unbounded execution cannot be interrupted")
+                            .stats
+                            .filtering_time()
+                    })
                     .sum::<std::time::Duration>()
             })
         });

@@ -2,9 +2,9 @@
 //! parsing query texts of growing size, printing the canonical form, and the
 //! full parse → display → parse round trip.
 //!
-//! Parsing sits on the hot path of `QueryService::evaluate_text`, so it must
-//! stay negligible next to evaluation (microseconds against the engine's
-//! milliseconds).  Set `GTPQ_BENCH_QUICK=1` for the CI smoke run.
+//! Parsing sits on the hot path of every `QueryRequest::text` submission,
+//! so it must stay negligible next to evaluation (microseconds against the
+//! engine's milliseconds).  Set `GTPQ_BENCH_QUICK=1` for the CI smoke run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtpq_datagen::random_text_query;

@@ -4,13 +4,13 @@
 //! processing times per algorithm, result counts, I/O-cost counters).  The
 //! absolute numbers differ from the paper — the datasets are scaled-down
 //! synthetic stand-ins and the machine is different — but the *shapes*
-//! (orderings, ratios, crossovers) are the reproduction target and are
-//! recorded in EXPERIMENTS.md.
+//! (orderings, ratios, crossovers) are the reproduction target;
+//! `experiments all` regenerates every one of them.
 
 use std::time::{Duration, Instant};
 
 use gtpq_baselines::{evaluate_gtpq_with, HgJoin, TpqAlgorithm, Twig2Stack, TwigStack, TwigStackD};
-use gtpq_core::{GteaEngine, GteaOptions};
+use gtpq_core::{EvalStats, ExecOptions, GteaEngine, GteaOptions};
 use gtpq_datagen::{
     fig11_gtpq, fig11_output_variant, random_queries, xmark_q1, xmark_q2, xmark_q3, Fig11Predicate,
     RandomQueryConfig,
@@ -58,6 +58,14 @@ pub fn run_experiment(id: &str) -> Result<(), String> {
 
 fn millis(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Plans and executes `q`, returning the run's statistics.
+fn gtea_stats(engine: &GteaEngine<'_>, q: &Gtpq) -> EvalStats {
+    engine
+        .execute(q, &engine.plan(q), ExecOptions::unbounded())
+        .expect("unbounded execution cannot be interrupted")
+        .stats
 }
 
 /// Times one closure, returning (result, milliseconds).
@@ -326,7 +334,7 @@ fn fig9d() -> Result<(), String> {
                 return 0.0;
             }
             qs.iter()
-                .map(|q| millis(engine.evaluate_with_stats(q).1.filtering_time()))
+                .map(|q| millis(gtea_stats(&engine, q).filtering_time()))
                 .sum::<f64>()
                 / qs.len() as f64
         };
@@ -378,7 +386,7 @@ fn fig10() -> Result<(), String> {
         "algorithm", "#input", "#intermediate", "#index"
     );
     let engine = GteaEngine::new(&g);
-    let (_, s) = engine.evaluate_with_stats(&q);
+    let s = gtea_stats(&engine, &q);
     println!(
         "{:>12} {:>12} {:>16} {:>12}",
         "GTEA", s.input_nodes, s.intermediate_size, s.index_lookups
@@ -460,8 +468,8 @@ fn fig12bcd(prefix: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Ablation of GTEA's design decisions (DESIGN.md §3): upward pruning,
-/// contour merging, prime-subtree shrinking.
+/// Ablation of GTEA's design decisions (the [`GteaOptions`] toggles): upward
+/// pruning, contour merging, prime-subtree shrinking.
 fn ablation() -> Result<(), String> {
     println!("== Ablation: GTEA design decisions on XMark scale 1.0, Q3 ==");
     let g = xmark_graph(1.0);
@@ -477,7 +485,7 @@ fn ablation() -> Result<(), String> {
         ("no subtree shrinking", GteaOptions::without_shrinking()),
     ] {
         let engine = GteaEngine::with_options(&g, options);
-        let ((_, stats), t) = timed(|| engine.evaluate_with_stats(&q));
+        let (stats, t) = timed(|| gtea_stats(&engine, &q));
         println!("{:>24} {:>10.2} {:>14}", name, t, stats.intermediate_size);
     }
     Ok(())

@@ -20,8 +20,8 @@ use crate::stream::{MatchStream, StreamSource};
 
 /// Row-window and control parameters of one [`GteaEngine::execute`] call.
 ///
-/// The default is the legacy behaviour: no limit, no offset, unbounded
-/// control, serial execution.
+/// The default runs to completion: no limit, no offset, unbounded control,
+/// serial execution.
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
     /// Stop after this many rows have been *emitted* (post-offset).  `None`
@@ -187,41 +187,26 @@ impl<'g, R: Reachability> GteaEngine<'g, R> {
         Planner::new(self.graph).plan(q)
     }
 
-    /// Evaluates `q`, returning only the answer.
+    /// Evaluates `q` under its default plan and returns only the answer:
+    /// [`execute`](Self::execute) with [`plan`](Self::plan) and
+    /// [`ExecOptions::unbounded`].
     pub fn evaluate(&self, q: &Gtpq) -> ResultSet {
-        self.evaluate_with_stats(q).0
-    }
-
-    /// Evaluates `q`: builds the default cost-based plan, then executes it.
-    /// The returned statistics include planning time and per-operator
-    /// estimated-vs-actual cardinalities.
-    pub fn evaluate_with_stats(&self, q: &Gtpq) -> (ResultSet, EvalStats) {
-        let plan_start = Instant::now();
-        let plan = self.plan(q);
-        let plan_time = plan_start.elapsed();
-        let (results, mut stats) = self.evaluate_planned(q, &plan);
-        stats.plan_time = plan_time;
-        (results, stats)
-    }
-
-    /// Executes an explicit physical plan for `q`.
-    ///
-    /// The answer is identical to [`evaluate`](Self::evaluate) for *any*
-    /// plan: candidate steps missing from the plan default to index scans
-    /// and the downward-prune order is repaired to a valid children-first
-    /// order.  Only performance (and the recorded estimates) can
-    /// differ.  The plan's backend recommendation is ignored here — the
-    /// engine probes whatever index it was built with; the query service
-    /// resolves recommendations against its shared-index catalog.
-    pub fn evaluate_planned(&self, q: &Gtpq, plan: &QueryPlan) -> (ResultSet, EvalStats) {
-        let exec = self
-            .execute(q, plan, ExecOptions::unbounded())
-            .expect("unbounded execution cannot be interrupted");
-        (exec.results, exec.stats)
+        self.execute(q, &self.plan(q), ExecOptions::unbounded())
+            .expect("unbounded execution cannot be interrupted")
+            .results
     }
 
     /// Executes `plan` with a row window and an execution control: the
-    /// request-level entry point behind `QueryService::submit`.
+    /// one execution entry point, behind `QueryService::submit` and
+    /// [`evaluate`](Self::evaluate).
+    ///
+    /// The answer is the same for *any* plan of `q`: candidate steps missing
+    /// from the plan default to index scans and the downward-prune order is
+    /// repaired to a valid children-first order; only performance (and the
+    /// recorded estimates) can differ.  The plan's backend recommendation is
+    /// ignored here — the engine probes whatever index it was built with;
+    /// the query service resolves recommendations against its shared-index
+    /// catalog.
     ///
     /// `limit`/`offset` push down into result enumeration — the underlying
     /// [`MatchStream`] stops after `offset + limit` distinct rows (plus one
@@ -493,7 +478,9 @@ mod tests {
         let g = example_graph();
         let q = example_query();
         let engine = GteaEngine::new(&g);
-        let (results, stats) = engine.evaluate_with_stats(&q);
+        let Execution { results, stats, .. } = engine
+            .execute(&q, &engine.plan(&q), ExecOptions::unbounded())
+            .unwrap();
         let expected = example_answer_pairs();
         assert_eq!(results.len(), expected.len());
         for (a, b) in expected {
@@ -657,31 +644,29 @@ mod tests {
         let q = example_query();
         let engine = GteaEngine::new(&g);
         let expected = engine.evaluate(&q);
+        let run = |plan: &QueryPlan| engine.execute(&q, plan, ExecOptions::unbounded()).unwrap();
 
         // The default plan round-trips.
         let plan = engine.plan(&q);
-        assert!(engine.evaluate_planned(&q, &plan).0.same_answer(&expected));
+        assert!(run(&plan).results.same_answer(&expected));
 
         // Shuffled prune order is repaired by the executor.
         let mut shuffled = plan.clone();
         shuffled.prune_down.reverse();
-        assert!(engine
-            .evaluate_planned(&q, &shuffled)
-            .0
-            .same_answer(&expected));
+        assert!(run(&shuffled).results.same_answer(&expected));
 
         // Forced full scans select identical candidates.
         let mut scans = plan.clone();
         for step in &mut scans.candidates {
             step.access = crate::plan::AccessPath::FullScan;
         }
-        let (results, stats) = engine.evaluate_planned(&q, &scans);
-        assert!(results.same_answer(&expected));
-        assert!(stats.scanned_nodes >= (q.size() * g.node_count()) as u64);
+        let exec = run(&scans);
+        assert!(exec.results.same_answer(&expected));
+        assert!(exec.stats.scanned_nodes >= (q.size() * g.node_count()) as u64);
 
         // The fixed seed pipeline agrees too.
         let fixed = QueryPlan::fixed_pipeline(&q);
-        assert!(engine.evaluate_planned(&q, &fixed).0.same_answer(&expected));
+        assert!(run(&fixed).results.same_answer(&expected));
     }
 
     #[test]
@@ -689,7 +674,10 @@ mod tests {
         let g = example_graph();
         let q = example_query();
         let engine = GteaEngine::new(&g);
-        let (_, stats) = engine.evaluate_with_stats(&q);
+        let stats = engine
+            .execute(&q, &engine.plan(&q), ExecOptions::unbounded())
+            .unwrap()
+            .stats;
         // One operator per candidate step, per internal-node prune step,
         // plus PruneUp, MatchingGraph and Collect.
         let internal = q.node_ids().filter(|&u| !q.node(u).is_leaf()).count();
@@ -703,9 +691,8 @@ mod tests {
         for o in stats.operators.iter().filter(|o| o.label.contains("Scan")) {
             assert!(o.estimated_rows >= o.actual_rows, "{}", o.label);
         }
-        // evaluate_planned alone reports no plan time; evaluate does.
-        let (_, planned_stats) = engine.evaluate_planned(&q, &engine.plan(&q));
-        assert_eq!(planned_stats.plan_time, std::time::Duration::ZERO);
+        // Planning happens before `execute`, so its time is the caller's.
+        assert_eq!(stats.plan_time, std::time::Duration::ZERO);
     }
 
     #[test]

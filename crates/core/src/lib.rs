@@ -4,11 +4,13 @@
 //! Evaluation is split into *planning* and *execution*: the [`plan`] module
 //! builds an explicit physical-operator plan ([`QueryPlan`]) from data-graph
 //! statistics (inverted-index posting lengths predict per-query-node
-//! candidate counts), and the engine executes it.  [`GteaEngine::evaluate`]
-//! is exactly "build the default plan, execute it";
-//! [`GteaEngine::evaluate_planned`] executes an explicit plan, which the
-//! query service uses for plan caching and per-query backend selection and
-//! the tests use to prove that any plan returns the same answer.
+//! candidate counts), and the engine executes it.  [`GteaEngine::execute`]
+//! is the one execution entry point: it runs an explicit plan under a row
+//! window and an [`ExecCtl`], which the query service uses for plan caching
+//! and per-query backend selection and the tests use to prove that any plan
+//! returns the same answer.  [`GteaEngine::evaluate`] is exactly "build the
+//! default plan, execute it unbounded", and [`GteaEngine::match_stream`]
+//! stops before enumeration and hands back a pull-based [`MatchStream`].
 //!
 //! The executed pipeline evaluates a [`Gtpq`](gtpq_query::Gtpq) over a
 //! [`DataGraph`](gtpq_graph::DataGraph) in four steps:
@@ -26,9 +28,9 @@
 //!    represented as a graph (each data node stored once, one edge per
 //!    matched query edge) rather than as tuples, the paper's key device for
 //!    keeping intermediate results small.
-//! 4. **Result enumeration** — [`collect`] walks the matching graph once and
-//!    assembles the output tuples, adding back the constant columns of
-//!    output nodes that were shrunk away.
+//! 4. **Result enumeration** — a [`MatchStream`] walks the matching graph
+//!    and yields the distinct output tuples in `ResultSet` order, adding back
+//!    the constant columns of output nodes that were shrunk away.
 //!
 //! Parent-child (PC) query edges are supported with the strategy of §4.4:
 //! they are treated as AD edges during pruning unless their variable occurs
@@ -39,7 +41,6 @@
 //! (Fig. 10): data nodes accessed, index elements looked up, and the size of
 //! the intermediate representation.
 
-pub mod collect;
 pub mod engine;
 pub mod exec;
 pub mod matching;

@@ -91,8 +91,9 @@ pub struct EvalStats {
     /// Wall time from the start of enumeration to the first produced row
     /// (zero when the answer is empty) — the streaming latency headline.
     pub time_to_first_row: Duration,
-    /// Time spent building the query plan (zero when a pre-built plan was
-    /// executed via `evaluate_planned`).
+    /// Time spent building the query plan.  `GteaEngine::execute` runs a
+    /// plan it is given and leaves this zero; the caller that planned (the
+    /// query service, on a plan-cache miss) fills it in.
     pub plan_time: Duration,
     /// Largest number of worker threads any parallel stage of this
     /// evaluation actually used (0 = the whole run stayed serial).

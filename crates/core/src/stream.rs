@@ -385,19 +385,6 @@ pub struct MatchStream {
 }
 
 impl MatchStream {
-    /// Builds the stream over a pruned candidate graph.  `mat` must hold the
-    /// candidate sets *after* both prune rounds, and `matching` the maximal
-    /// matching graph built from them.
-    pub fn build(
-        q: &Gtpq,
-        shrunk: ShrunkPrime,
-        matching: MatchingGraph,
-        mat: Vec<Vec<NodeId>>,
-        ctl: ExecCtl,
-    ) -> Self {
-        Self::from_source(Arc::new(StreamSource::new(q, shrunk, matching, mat)), ctl)
-    }
-
     /// Builds the stream over a prepared (possibly shared) source.
     pub fn from_source(source: Arc<StreamSource>, ctl: ExecCtl) -> Self {
         Self::over(source, None, ctl)
@@ -547,7 +534,8 @@ mod tests {
 
     use super::*;
 
-    fn pruned_example() -> (Gtpq, ShrunkPrime, MatchingGraph, Vec<Vec<NodeId>>) {
+    /// The running example's enumeration source, after both prune rounds.
+    fn pruned_example() -> Arc<StreamSource> {
         let g = example_graph();
         let q = example_query();
         let index = ThreeHop::new(&g);
@@ -574,13 +562,12 @@ mod tests {
         let shrunk = ShrunkPrime::new(&q, &prime, &mat, true);
         let matching =
             MatchingGraph::build(&q, &g, &index, &shrunk, &mat, &mut stats, &ctl).unwrap();
-        (q, shrunk, matching, mat)
+        Arc::new(StreamSource::new(&q, shrunk, matching, mat))
     }
 
     #[test]
     fn stream_emits_the_example_answer_in_sorted_order() {
-        let (q, shrunk, matching, mat) = pruned_example();
-        let mut stream = MatchStream::build(&q, shrunk, matching, mat, ExecCtl::unbounded());
+        let mut stream = MatchStream::from_source(pruned_example(), ExecCtl::unbounded());
         let mut rows = Vec::new();
         while let Some(row) = stream.next_row().unwrap() {
             rows.push(row);
@@ -597,11 +584,10 @@ mod tests {
 
     #[test]
     fn stream_respects_cancellation() {
-        let (q, shrunk, matching, mat) = pruned_example();
         let token = crate::exec::CancelToken::new();
         token.cancel();
         let ctl = ExecCtl::unbounded().with_cancel(token);
-        let mut stream = MatchStream::build(&q, shrunk, matching, mat, ctl);
+        let mut stream = MatchStream::from_source(pruned_example(), ctl);
         assert_eq!(stream.next_row(), Err(Interrupt::Cancelled));
     }
 
@@ -615,8 +601,7 @@ mod tests {
 
     #[test]
     fn partitioned_streams_union_to_the_serial_stream() {
-        let (q, shrunk, matching, mat) = pruned_example();
-        let source = Arc::new(StreamSource::new(&q, shrunk, matching, mat));
+        let source = pruned_example();
         let drain = |mut s: MatchStream| {
             let mut rows = Vec::new();
             while let Some(row) = s.next_row().unwrap() {

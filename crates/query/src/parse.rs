@@ -678,8 +678,9 @@ impl Parser {
         }
     }
 
-    /// `formula = conj { "|" conj }` — same precedence ladder as
-    /// `gtpq_logic::parser`, with patterns as an extra kind of atom.
+    /// `formula = conj { "|" conj }`, `conj = unary { "&" unary }`,
+    /// `unary = "!" unary | atom`: `!` binds tightest, then `&`, then `|`;
+    /// atoms are parenthesized formulas, constants, patterns and names.
     fn parse_formula(
         &mut self,
         node: QueryNodeId,

@@ -22,8 +22,8 @@
 //! further with a densest-subgraph heuristic over the chain-to-chain
 //! structure.  We use the chain-cover entry/exit formulation directly (the
 //! same information, the same query procedure, the same interface); the
-//! difference only affects the constant factor of the index size, which is
-//! recorded in DESIGN.md as a documented substitution.
+//! difference only affects the constant factor of the index size (see
+//! "Substitutions" in `docs/ARCHITECTURE.md`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

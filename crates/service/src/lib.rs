@@ -58,10 +58,6 @@
 //! let first = service.submit(&QueryRequest::text("a1 { //d1* }").with_limit(1)).unwrap();
 //! assert_eq!(first.rows.len(), 1);
 //! ```
-//!
-//! The pre-request method zoo (`evaluate`, `evaluate_with_stats`,
-//! `evaluate_text`, `evaluate_batch`, `analyze`) survives as deprecated
-//! shims over `submit`; see each method's `# Migration` note.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,9 @@
 //! The request/outcome query API: [`QueryRequest`] in,
 //! `Result<`[`QueryOutcome`]`, `[`QueryError`]`>` out.
 //!
-//! This is the single public evaluation surface of the service.  The legacy
-//! method zoo (`evaluate`, `evaluate_with_stats`, `evaluate_text`,
-//! `evaluate_batch`, `analyze`) survives as thin deprecated shims over
-//! [`QueryService::submit`](crate::QueryService::submit); new code should
-//! build a request:
+//! This is the single public evaluation surface of the service: build a
+//! request and hand it to [`QueryService::submit`](crate::QueryService::submit)
+//! (or a slice of them to `submit_batch`):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -213,9 +211,8 @@ impl QueryOutcome {
     }
 }
 
-/// Everything that can go wrong with a [`QueryRequest`] — the unified error
-/// surface replacing the old mixed signatures (only `evaluate_text` could
-/// fail, and nothing could time out).
+/// Everything that can go wrong with a [`QueryRequest`]: the one error
+/// surface of the service.
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryError {
     /// The request's text does not parse; carries the span-annotated

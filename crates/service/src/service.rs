@@ -11,7 +11,7 @@ use gtpq_core::{
     QueryPlan, Tracer,
 };
 use gtpq_graph::{DataGraph, GraphHandle, GraphSnapshot, SnapshotError};
-use gtpq_query::{Gtpq, ParseError, ResultSet};
+use gtpq_query::{Gtpq, ResultSet};
 use gtpq_reach::{build_selected_with, BackendKind, BackendSelection, GraphProfile, SharedIndex};
 
 use crate::cache::{PlanCache, ResultCache};
@@ -642,8 +642,8 @@ impl QueryService {
     /// Workers steal requests from a shared cursor, so skewed workloads
     /// load-balance; outcomes are identical to submitting the batch
     /// sequentially (the cache is shared, so duplicate queries within one
-    /// batch may be served from it).  Unlike the deprecated
-    /// `evaluate_batch`, every request keeps its own stats, plan and error.
+    /// batch may be served from it).  Every request keeps its own stats,
+    /// plan and error.
     pub fn submit_batch(&self, requests: &[QueryRequest]) -> Vec<Result<QueryOutcome, QueryError>> {
         self.metrics.record_batch();
         let workers = self.config.threads.min(requests.len()).max(1);
@@ -683,92 +683,6 @@ impl QueryService {
             .collect()
     }
 
-    /// Evaluates one query, consulting the result cache first.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::query(q.clone())`; the rows are in
-    /// [`QueryOutcome::rows`].  Unsatisfiable queries, which `submit`
-    /// rejects with [`QueryError::Unsatisfiable`], keep returning an empty
-    /// answer here.
-    #[deprecated(since = "0.1.0", note = "use `submit` with a `QueryRequest`")]
-    pub fn evaluate(&self, q: &Gtpq) -> Arc<ResultSet> {
-        match self.submit(&QueryRequest::query(q.clone())) {
-            Ok(outcome) => outcome.rows,
-            Err(QueryError::Unsatisfiable) => Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-            Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-        }
-    }
-
-    /// Parses `text` as the GTPQ query language and evaluates the query,
-    /// consulting the result cache first.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with `QueryRequest::text(text)`; parse
-    /// failures arrive as [`QueryError::Parse`].
-    #[deprecated(since = "0.1.0", note = "use `submit` with `QueryRequest::text`")]
-    pub fn evaluate_text(&self, text: &str) -> Result<Arc<ResultSet>, ParseError> {
-        #[allow(deprecated)]
-        Ok(self.evaluate_text_with_stats(text)?.0)
-    }
-
-    /// Parses `text` and evaluates it, returning per-query engine
-    /// statistics.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::text(text).with_stats()`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `submit` with `QueryRequest::text(..).with_stats()`"
-    )]
-    pub fn evaluate_text_with_stats(
-        &self,
-        text: &str,
-    ) -> Result<(Arc<ResultSet>, EvalStats), ParseError> {
-        match self.submit(&QueryRequest::text(text).with_stats()) {
-            Ok(outcome) => Ok((outcome.rows, outcome.stats.unwrap_or_default())),
-            Err(QueryError::Parse(e)) => Err(e),
-            Err(QueryError::Unsatisfiable) => {
-                let q = gtpq_query::parse_query(text).expect("parse succeeded above");
-                Ok((
-                    Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-                    EvalStats::default(),
-                ))
-            }
-            Err(e) => unreachable!("request without deadline cannot fail: {e}"),
-        }
-    }
-
-    /// Evaluates one query, returning per-query engine statistics.
-    ///
-    /// On a cache hit the engine never runs, so the returned stats are
-    /// `EvalStats::default()`; aggregate hit/miss counts live in
-    /// [`metrics`](Self::metrics).
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::query(q.clone()).with_stats()`; the stats are in
-    /// [`QueryOutcome::stats`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `submit` with `QueryRequest::query(..).with_stats()`"
-    )]
-    pub fn evaluate_with_stats(&self, q: &Gtpq) -> (Arc<ResultSet>, EvalStats) {
-        match self.submit(&QueryRequest::query(q.clone()).with_stats()) {
-            Ok(outcome) => (outcome.rows, outcome.stats.unwrap_or_default()),
-            Err(QueryError::Unsatisfiable) => (
-                Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-                EvalStats::default(),
-            ),
-            Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-        }
-    }
-
     /// Plans (or recalls the cached plan for) `q` without evaluating it —
     /// the physical plan `:explain` renders.
     ///
@@ -780,38 +694,6 @@ impl QueryService {
         let canon = (self.config.plan_cache_capacity > 0).then(|| canonicalize(q));
         let state = self.current_state();
         self.obtain_plan(q, canon_ref(&canon), &state).0
-    }
-
-    /// Evaluates `q` unconditionally through the engine (no result-cache
-    /// lookup), returning the executed plan alongside the answer and
-    /// statistics.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit`](Self::submit) with
-    /// `QueryRequest::query(q.clone()).with_stats().with_plan().with_bypass_cache()`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `submit` with `QueryRequest::query(..).with_stats().with_plan().with_bypass_cache()`"
-    )]
-    pub fn analyze(&self, q: &Gtpq) -> (Arc<ResultSet>, EvalStats, Arc<QueryPlan>) {
-        let request = QueryRequest::query(q.clone())
-            .with_stats()
-            .with_plan()
-            .with_bypass_cache();
-        match self.submit(&request) {
-            Ok(outcome) => (
-                outcome.rows,
-                outcome.stats.unwrap_or_default(),
-                outcome.plan.expect("requested with_plan"),
-            ),
-            Err(QueryError::Unsatisfiable) => (
-                Arc::new(ResultSet::new(q.output_nodes().to_vec())),
-                EvalStats::default(),
-                self.plan_for(q),
-            ),
-            Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-        }
     }
 
     /// Looks the plan up in the plan cache, building and caching it on a
@@ -859,34 +741,6 @@ impl QueryService {
             );
         }
         (plan, plan_time)
-    }
-
-    /// Evaluates a batch of queries across the worker pool, preserving input
-    /// order in the returned answers.
-    ///
-    /// # Migration
-    ///
-    /// Use [`submit_batch`](Self::submit_batch), which keeps per-request
-    /// stats and reports per-request errors instead of silently flattening
-    /// them.  As with `evaluate`, unsatisfiable queries keep returning an
-    /// empty answer here.
-    #[deprecated(since = "0.1.0", note = "use `submit_batch` with `QueryRequest`s")]
-    pub fn evaluate_batch(&self, queries: &[Gtpq]) -> Vec<Arc<ResultSet>> {
-        let requests: Vec<QueryRequest> = queries
-            .iter()
-            .map(|q| QueryRequest::query(q.clone()))
-            .collect();
-        self.submit_batch(&requests)
-            .into_iter()
-            .zip(queries)
-            .map(|(r, q)| match r {
-                Ok(outcome) => outcome.rows,
-                Err(QueryError::Unsatisfiable) => {
-                    Arc::new(ResultSet::new(q.output_nodes().to_vec()))
-                }
-                Err(e) => unreachable!("request without text or deadline cannot fail: {e}"),
-            })
-            .collect()
     }
 
     /// Point-in-time aggregate metrics (QPS, hit rate, stage rollups,
@@ -1207,10 +1061,6 @@ mod tests {
         let q = b.build().unwrap();
         let err = service.submit(&QueryRequest::query(q.clone())).unwrap_err();
         assert_eq!(err, QueryError::Unsatisfiable);
-        // The deprecated shim keeps the old empty-answer contract.
-        #[allow(deprecated)]
-        let empty = service.evaluate(&q);
-        assert!(empty.is_empty());
     }
 
     #[test]
@@ -1497,34 +1347,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let service = service_for_example();
         assert!(service.submit_batch(&[]).is_empty());
-        #[allow(deprecated)]
-        let legacy = service.evaluate_batch(&[]);
-        assert!(legacy.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_stay_faithful_to_submit() {
-        let service = service_for_example();
-        let q = example_query();
-        let expected = naive::evaluate(&q, &service.graph());
-        assert!(service.evaluate(&q).same_answer(&expected));
-        let (rows, stats) = service.evaluate_with_stats(&q);
-        assert!(rows.same_answer(&expected));
-        // Second call hit the cache, so the shim's stats are empty.
-        assert_eq!(stats.initial_candidates, 0);
-        let text = service.evaluate_text("a1 { //d1* }").unwrap();
-        assert!(!text.is_empty());
-        assert!(service.evaluate_text("a1 { //d1* ").is_err());
-        let (rows2, batch_stats, plan) = {
-            let (r, s, p) = service.analyze(&q);
-            (r, s, p)
-        };
-        assert!(rows2.same_answer(&expected));
-        assert!(!batch_stats.operators.is_empty());
-        assert!(plan.candidates.len() == q.size());
-        let batch = service.evaluate_batch(std::slice::from_ref(&q));
-        assert!(batch[0].same_answer(&expected));
     }
 
     #[test]

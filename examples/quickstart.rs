@@ -53,10 +53,14 @@ fn main() {
     println!("Query:\n{}", query.describe());
 
     let engine = GteaEngine::new(&graph);
-    let (answer, stats) = engine.evaluate_with_stats(&query);
+    let plan = engine.plan(&query);
+    let run = engine
+        .execute(&query, &plan, ExecOptions::unbounded())
+        .expect("unbounded execution cannot be interrupted");
+    let (answer, stats) = (run.results, run.stats);
     println!("Answer tuples: {:?}", answer.tuples);
     println!(
-        "Evaluated in {:?} ({} candidates pruned to {})",
+        "Executed in {:?} ({} candidates pruned to {})",
         stats.total_time(),
         stats.initial_candidates,
         stats.candidates_after_downward

@@ -52,12 +52,16 @@ fn main() {
         ("DIS_NEG2 (bidder XOR seller)", Fig11Predicate::DisNeg2),
     ] {
         let q = fig11_gtpq(variant, 0, 3);
-        let (answer, stats) = engine.evaluate_with_stats(&q);
+        let start = Instant::now();
+        let plan = engine.plan(&q);
+        let run = engine
+            .execute(&q, &plan, ExecOptions::unbounded())
+            .expect("unbounded execution cannot be interrupted");
+        let elapsed = start.elapsed();
         println!(
-            "{name:<30} {:>5} results | {:>9.3?} | matching graph size {}",
-            answer.len(),
-            stats.total_time(),
-            stats.intermediate_size
+            "{name:<30} {:>5} results | {elapsed:>9.3?} | matching graph size {}",
+            run.results.len(),
+            run.stats.intermediate_size
         );
     }
 }

@@ -20,30 +20,40 @@ fn all_algorithms_agree_on_xmark_conjunctive_queries() {
     let twig_d = TwigStackD::new(&graph);
     let hg_plus = HgJoin::tuple_based(&graph);
     let hg_star = HgJoin::graph_based(&graph);
+    let mut fig11_rows = 0;
     for group in 0..4 {
-        let q = xmark_q1(group);
-        let expected = engine.evaluate(&q);
-        assert!(
-            twig.evaluate(&q).0.same_answer(&expected),
-            "TwigStack, group {group}"
-        );
-        assert!(
-            twig2.evaluate(&q).0.same_answer(&expected),
-            "Twig2Stack, group {group}"
-        );
-        assert!(
-            twig_d.evaluate(&q).0.same_answer(&expected),
-            "TwigStackD, group {group}"
-        );
-        assert!(
-            hg_plus.evaluate(&q).0.same_answer(&expected),
-            "HGJoin+, group {group}"
-        );
-        assert!(
-            hg_star.evaluate(&q).0.same_answer(&expected),
-            "HGJoin*, group {group}"
-        );
+        // Q1 is all backbone; the Fig. 11 conjunctive query also carries
+        // predicate subtrees (education, mailbox/mail) that `fs = true`
+        // leaves unconstrained, so they must not filter the answer.
+        let fig11 = fig11_gtpq(Fig11Predicate::Conjunctive, group, (group + 3) % 10);
+        for (name, q) in [("Q1", xmark_q1(group)), ("Fig. 11", fig11)] {
+            let expected = engine.evaluate(&q);
+            if name == "Fig. 11" {
+                fig11_rows += expected.len();
+            }
+            assert!(
+                twig.evaluate(&q).0.same_answer(&expected),
+                "TwigStack, {name} group {group}"
+            );
+            assert!(
+                twig2.evaluate(&q).0.same_answer(&expected),
+                "Twig2Stack, {name} group {group}"
+            );
+            assert!(
+                twig_d.evaluate(&q).0.same_answer(&expected),
+                "TwigStackD, {name} group {group}"
+            );
+            assert!(
+                hg_plus.evaluate(&q).0.same_answer(&expected),
+                "HGJoin+, {name} group {group}"
+            );
+            assert!(
+                hg_star.evaluate(&q).0.same_answer(&expected),
+                "HGJoin*, {name} group {group}"
+            );
+        }
     }
+    assert!(fig11_rows > 0, "some label group has Fig. 11 matches");
 }
 
 #[test]
@@ -103,7 +113,9 @@ fn evaluation_statistics_are_plausible() {
     let graph = generate_xmark(&XmarkConfig::with_scale(0.1));
     let engine = GteaEngine::new(&graph);
     let q = xmark_q2(0, 3);
-    let (results, stats) = engine.evaluate_with_stats(&q);
+    let Execution { results, stats, .. } = engine
+        .execute(&q, &engine.plan(&q), ExecOptions::unbounded())
+        .unwrap();
     assert_eq!(stats.result_tuples, results.len() as u64);
     assert!(stats.initial_candidates >= stats.candidates_after_downward);
     assert!(stats.prime_subtree_size >= stats.shrunk_subtree_size);

@@ -355,12 +355,15 @@ fn planned_evaluation_is_equivalent_to_default_for_perturbed_plans() {
                 ("full-scan", &scans),
                 ("fixed", &fixed),
             ] {
-                let got = engine.evaluate_planned(&q, perturbed);
+                let got = engine
+                    .execute(&q, perturbed, ExecOptions::unbounded())
+                    .unwrap()
+                    .results;
                 assert!(
-                    got.0.same_answer(&expected),
+                    got.same_answer(&expected),
                     "seed {seed}: plan `{name}` on backend {kind} changed the answer: \
                      got {:?} expected {:?}",
-                    got.0.tuples,
+                    got.tuples,
                     expected.tuples
                 );
             }

@@ -6,8 +6,8 @@
 //! * the `parse(display(q)) == q` round-trip property over random
 //!   generated queries,
 //! * parser failure modes assert exact error spans,
-//! * `QueryService::evaluate_text` agrees with builder-constructed
-//!   evaluation.
+//! * `QueryService::submit` of a `QueryRequest::text` agrees with
+//!   builder-constructed evaluation.
 
 use std::sync::Arc;
 

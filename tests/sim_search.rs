@@ -266,10 +266,13 @@ fn sim_queries_agree_with_the_oracle_across_backends_and_snapshots() {
 
             // The sim counters account for every indexed vector: each one is
             // either pruned by the pivot tests or exactly verified.
-            let (res, stats) = GteaEngine::new(&g).evaluate_with_stats(&q);
-            assert!(res.same_answer(&expected), "seed {seed} {op:?}");
+            let engine = GteaEngine::new(&g);
+            let run = engine
+                .execute(&q, &engine.plan(&q), ExecOptions::unbounded())
+                .unwrap();
+            assert!(run.results.same_answer(&expected), "seed {seed} {op:?}");
             assert_eq!(
-                stats.sim_pivot_filtered + stats.sim_verified,
+                run.stats.sim_pivot_filtered + run.stats.sim_verified,
                 table_len as u64,
                 "seed {seed} {op:?}: counter accounting"
             );
